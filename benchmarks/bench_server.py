@@ -150,8 +150,7 @@ def _run_once(clients: int, ops_per_client: int) -> dict:
             },
             "server": {
                 key: value for key, value in server.stats.as_dict().items()
-                if key in ("connections_accepted", "requests",
-                           "backpressure_waits")
+                if key in ("connections_accepted", "requests")
             },
         }
     finally:

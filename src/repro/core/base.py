@@ -88,9 +88,12 @@ class SecondaryIndex(ABC):
         """RANGELOOKUP(A, a, b, K): K most recent with a <= val(A) <= b.
 
         ``early_termination`` enables the paper's stop-at-end-of-level rule
-        where the technique supports it; passing ``False`` forces an
-        exhaustive scan (exact top-K even under pathological compaction
-        timing).
+        where the technique supports it.  Only ``False`` (an exhaustive
+        scan) guarantees the exact top-K: an early stop misses newer
+        matches that compaction already pushed to deeper levels, which
+        happens routinely under updates (40-50% of early-terminated
+        top-10 answers on an update-heavy mix), not only under unusual
+        timing.
         """
 
     # -- maintenance ------------------------------------------------------------

@@ -40,6 +40,7 @@ import os
 import threading
 import time
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Any, Callable, Iterator
@@ -1829,35 +1830,48 @@ class DB:
         """Flush, then push every level's data downward once (manual, full).
 
         In pipeline mode the manual compaction runs on the calling thread
-        but first takes the *manual-compaction slot*: the background thread
-        stops picking automatic compactions (flushes still run) so the two
-        never install conflicting edits over the same input files.
+        inside the *maintenance slot* (:meth:`_maintenance_slot`), so it
+        and the background thread never install conflicting edits over
+        the same input files.
         """
         self._check_open()
         self._check_writable()
         self.flush()
-        if self._bg:
-            with self._mutex:
-                self._manual_compaction = True
-                self._work_cv.notify_all()
-                try:
-                    self._await_locked(
-                        self._stall_cv,
-                        lambda: not self._bg_compacting
-                        or self._bg_error is not None,
-                        "manual:exclusive")
-                    self._raise_if_bg_failed()
-                except BaseException:
-                    self._manual_compaction = False
-                    self._work_cv.notify_all()
-                    raise
-        try:
+        with self._maintenance_slot():
+            self._raise_if_bg_failed()
             self._compact_range_levels()
+
+    @contextmanager
+    def _maintenance_slot(self) -> Iterator[None]:
+        """Hold off automatic compaction for the duration of the block.
+
+        In pipeline mode this takes the manual-compaction slot: the
+        background thread finishes the compaction it is running (if any)
+        and picks no new one until the block exits; flushes still run.
+        Inline mode has no background compaction to hold off.
+        """
+        if not self._bg:
+            yield
+            return
+        with self._mutex:
+            self._manual_compaction = True
+            self._work_cv.notify_all()
+            try:
+                self._await_locked(
+                    self._stall_cv,
+                    lambda: not self._bg_compacting
+                    or self._bg_error is not None,
+                    "manual:exclusive")
+            except BaseException:
+                self._manual_compaction = False
+                self._work_cv.notify_all()
+                raise
+        try:
+            yield
         finally:
-            if self._bg:
-                with self._mutex:
-                    self._manual_compaction = False
-                    self._work_cv.notify_all()
+            with self._mutex:
+                self._manual_compaction = False
+                self._work_cv.notify_all()
 
     def _compact_range_levels(self) -> None:
         for level in range(self.options.max_levels - 1):
@@ -1923,7 +1937,11 @@ class DB:
         self._check_open()
         from repro.lsm.checker import verify_integrity
 
-        return verify_integrity(self)
+        # A background compaction mid-run has output tables the manifest
+        # does not name yet (and inputs not yet deleted): audit between
+        # compactions, never across one.
+        with self._maintenance_slot():
+            return verify_integrity(self)
 
     def approximate_size(self) -> int:
         """Total bytes of all files belonging to this database."""

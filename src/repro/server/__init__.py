@@ -6,10 +6,10 @@ process.  This package puts a socket in front of it (ROADMAP item 1):
 * :mod:`repro.server.protocol` — a length-prefixed framed wire format
   with a small self-describing value codec (no third-party
   serializer needed);
-* :mod:`repro.server.server` — a threaded socket server whose
-  concurrent connection handlers feed writes straight into the
-  engine's leader/follower group commit, with per-connection
-  backpressure tied to the write-stall ladder;
+* :mod:`repro.server.server` — a socket server with one thread per
+  connection, whose concurrent handlers feed writes straight into the
+  engine's leader/follower group commit; a busy connection stops
+  reading, so TCP carries the backpressure;
 * :mod:`repro.server.client` — a pooled, pipelining client.
 
 See DESIGN.md §10 for the protocol and backpressure design.

@@ -47,12 +47,14 @@ from repro.lsm.keys import decode_varint, encode_varint
 
 __all__ = [
     "DEFAULT_MAX_FRAME_BYTES",
+    "FRAME_HEADER_BYTES",
     "ProtocolError",
     "FrameTooLargeError",
     "TornFrameError",
     "encode_value",
     "decode_value",
     "encode_frame",
+    "take_frame",
     "read_frame",
     "write_frame",
     "recv_exact",
@@ -67,6 +69,9 @@ DEFAULT_MAX_FRAME_BYTES = 4 * 1024 * 1024
 
 _LENGTH = struct.Struct(">I")
 _FLOAT = struct.Struct(">d")
+
+#: Bytes of the length prefix in front of every payload.
+FRAME_HEADER_BYTES = _LENGTH.size
 
 STATUS_OK = 0
 STATUS_ERROR = 1
@@ -248,6 +253,33 @@ def recv_exact(sock: socket.socket, length: int) -> bytes | None:
     return b"".join(chunks)
 
 
+def _payload_length(data: bytes, offset: int, max_frame_bytes: int) -> int:
+    """The payload length a header declares; oversized ones are refused."""
+    (length,) = _LENGTH.unpack_from(data, offset)
+    if length > max_frame_bytes:
+        raise FrameTooLargeError(
+            f"frame of {length} bytes exceeds limit {max_frame_bytes}")
+    return length
+
+
+def take_frame(buffer: bytes, start: int, max_frame_bytes: int
+               ) -> tuple[bytes, int] | None:
+    """Parse the frame at ``buffer[start:]`` out of a receive buffer.
+
+    Returns ``(payload, end)`` — ``end`` is where the next frame starts —
+    or ``None`` while the frame is still incomplete.  Raises
+    :class:`FrameTooLargeError` as soon as the header is buffered and
+    declares a payload over ``max_frame_bytes``.
+    """
+    if len(buffer) - start < FRAME_HEADER_BYTES:
+        return None
+    begin = start + FRAME_HEADER_BYTES
+    end = begin + _payload_length(buffer, start, max_frame_bytes)
+    if end > len(buffer):
+        return None
+    return buffer[begin:end], end
+
+
 def read_frame(sock: socket.socket,
                max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES
                ) -> bytes | None:
@@ -258,14 +290,10 @@ def read_frame(sock: socket.socket,
     :class:`TornFrameError` if the stream ends inside the header or the
     payload.
     """
-    header = recv_exact(sock, _LENGTH.size)
+    header = recv_exact(sock, FRAME_HEADER_BYTES)
     if header is None:
         return None
-    (length,) = _LENGTH.unpack(header)
-    if length > max_frame_bytes:
-        raise FrameTooLargeError(
-            f"frame of {length} bytes exceeds limit {max_frame_bytes}")
-    payload = recv_exact(sock, length)
+    payload = recv_exact(sock, _payload_length(header, 0, max_frame_bytes))
     if payload is None:
         raise TornFrameError("connection closed between header and payload")
     return payload

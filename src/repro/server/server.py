@@ -1,28 +1,29 @@
 """A threaded socket server over one database.
 
-Each accepted connection gets two threads:
+Each accepted connection gets **one thread** running one loop:
 
-* a **reader** that parses length-prefixed frames off the socket and
-  pushes them into a *bounded* per-connection queue, and
-* a **worker** that decodes requests from the queue, executes them
-  against the database, and writes responses back in request order
-  (pipelined requests are answered strictly FIFO).
+* it parses every complete length-prefixed frame out of a small
+  per-connection receive buffer;
+* it decodes and executes each request against the database and writes
+  the responses back in request order (pipelined requests are answered
+  strictly FIFO);
+* it reads the socket again only when no complete frame is left.
 
-Concurrency model (DESIGN.md §10): the worker threads of all
-connections call the engine *concurrently*.  With the background
-pipeline enabled (``Options.background_compaction``) the engine's
-leader/follower group commit coalesces their WAL appends, so one fsync
-covers a whole batch of network writers — the server adds no locking of
-its own on that path.  On top of it the worker coalesces a *run* of
-consecutive pipelined writes from one connection into a single
-:class:`~repro.lsm.db.WriteBatch`, so a client that pipelines N puts
-enqueues one group-commit entry, not N.
+Backpressure is TCP's own.  While the thread executes a request — or is
+parked in the engine's write-stall ladder, or blocks writing a response
+the client does not read — nothing reads the socket, so the kernel's
+receive window fills and pushes back on the client.  A flood of writers
+degrades into flow control instead of unbounded buffering: the receive
+buffer never holds more than one maximum-size frame.
 
-Backpressure: the request queue is bounded (``max_inflight``).  When a
-connection's writes stall — the worker is parked in the engine's
-write-stall ladder — the queue fills and the reader stops reading the
-socket; the kernel's TCP window then pushes back on the client.  A flood
-of writers degrades into flow control instead of unbounded buffering.
+Concurrency model (DESIGN.md §10): the connection threads call the
+engine *concurrently*.  With the background pipeline enabled
+(``Options.background_compaction``) the engine's leader/follower group
+commit coalesces their WAL appends, so one fsync covers a whole batch of
+network writers — the server adds no locking of its own on that path.
+On top of it a run of consecutive PUT/DELETE frames already complete in
+the buffer folds into a single :class:`~repro.lsm.db.WriteBatch`, so a
+client that pipelines N puts enqueues one group-commit entry, not N.
 
 Serving an inline (non-pipeline) engine still works: the handlers
 serialize on one lock, trading parallelism for the single-threaded
@@ -34,11 +35,11 @@ is not concurrency-safe.
 from __future__ import annotations
 
 import logging
-import queue
+import select
 import socket
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Callable
 
 from repro.core.records import key_to_bytes
@@ -46,24 +47,20 @@ from repro.lsm.db import DB, WriteBatch
 from repro.lsm.errors import InvalidArgumentError
 from repro.server.protocol import (
     DEFAULT_MAX_FRAME_BYTES,
+    FRAME_HEADER_BYTES,
     FrameTooLargeError,
     STATUS_ERROR,
     STATUS_OK,
-    TornFrameError,
     decode_value,
     encode_frame,
     encode_value,
-    read_frame,
+    take_frame,
 )
 
 logger = logging.getLogger(__name__)
 
-__all__ = ["Server", "ServerStats", "DEFAULT_MAX_INFLIGHT",
-           "DEFAULT_SCAN_LIMIT", "MAX_COALESCED_OPS", "DEDUP_WINDOW"]
-
-#: Unanswered requests one connection may have queued before its reader
-#: stops reading the socket (the backpressure bound).
-DEFAULT_MAX_INFLIGHT = 32
+__all__ = ["Server", "ServerStats", "DEFAULT_SCAN_LIMIT",
+           "MAX_COALESCED_OPS", "DEDUP_WINDOW"]
 
 #: SCAN responses are paged: a request with no explicit limit gets at
 #: most this many entries, keeping one response inside a frame.
@@ -78,8 +75,8 @@ MAX_COALESCED_OPS = 128
 #: retries its most recent unacked writes, not a thousand-op backlog).
 DEDUP_WINDOW = 1024
 
-_EOF = object()          # reader -> worker: clean end of stream
-_REJECT = "__reject__"   # reader -> worker: fatal frame error, then close
+#: Largest single ``recv`` into a connection's receive buffer.
+RECV_BYTES = 1 << 16
 
 
 @dataclass
@@ -91,8 +88,7 @@ class ServerStats:
     responses: int = 0
     errors: int = 0               # error responses sent
     frames_rejected: int = 0      # oversized frames (connection dropped)
-    torn_frames: int = 0          # connections that died mid-frame
-    backpressure_waits: int = 0   # reader blocked on a full request queue
+    torn_frames: int = 0          # streams that ended (FIN/RST) mid-frame
     coalesced_groups: int = 0     # write runs folded into one WriteBatch
     coalesced_ops: int = 0        # ops committed through those runs
     max_coalesced_ops: int = 0
@@ -101,21 +97,7 @@ class ServerStats:
     leaked_threads: int = 0       # threads still alive after close() joins
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "connections_accepted": self.connections_accepted,
-            "requests": self.requests,
-            "responses": self.responses,
-            "errors": self.errors,
-            "frames_rejected": self.frames_rejected,
-            "torn_frames": self.torn_frames,
-            "backpressure_waits": self.backpressure_waits,
-            "coalesced_groups": self.coalesced_groups,
-            "coalesced_ops": self.coalesced_ops,
-            "max_coalesced_ops": self.max_coalesced_ops,
-            "dedup_hits": self.dedup_hits,
-            "dedup_applied": self.dedup_applied,
-            "leaked_threads": self.leaked_threads,
-        }
+        return asdict(self)
 
 
 class _DedupWindow:
@@ -124,7 +106,7 @@ class _DedupWindow:
     ``results`` maps the client's write sequence to the result it was
     (or would have been) acked with; the lock makes check-and-apply
     atomic per client, so a retry racing its original attempt — the old
-    connection's worker may still be draining when the client has
+    connection's thread may still be draining when the client has
     already reconnected — can never double-apply.
     """
 
@@ -136,16 +118,23 @@ class _DedupWindow:
 
 
 class _Connection:
-    """One accepted socket plus its queue and threads."""
+    """One accepted socket, its receive buffer and its thread.
 
-    __slots__ = ("sock", "queue", "reader", "worker", "closing", "peer")
+    ``buffer[start:]`` holds the received bytes not yet parsed into
+    frames.  ``peer_gone`` is set once a send fails: the frames the peer
+    already sent still execute, their responses are dropped.
+    """
 
-    def __init__(self, sock: socket.socket, max_inflight: int) -> None:
+    __slots__ = ("sock", "thread", "closing", "peer", "buffer", "start",
+                 "peer_gone")
+
+    def __init__(self, sock: socket.socket) -> None:
         self.sock = sock
-        self.queue: queue.Queue = queue.Queue(maxsize=max_inflight)
+        self.thread: threading.Thread | None = None
         self.closing = threading.Event()
-        self.reader: threading.Thread | None = None
-        self.worker: threading.Thread | None = None
+        self.buffer = b""
+        self.start = 0
+        self.peer_gone = False
         try:
             self.peer = "%s:%d" % sock.getpeername()[:2]
         except OSError:
@@ -171,15 +160,11 @@ class Server:
     """
 
     def __init__(self, db: Any, host: str = "127.0.0.1", port: int = 0, *,
-                 max_inflight: int = DEFAULT_MAX_INFLIGHT,
                  max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
                  backlog: int = 128) -> None:
-        if max_inflight < 1:
-            raise InvalidArgumentError("max_inflight must be >= 1")
         self._host = host
         self._port = port
         self._backlog = backlog
-        self.max_inflight = max_inflight
         self.max_frame_bytes = max_frame_bytes
         self.stats = ServerStats()
         self._listener: socket.socket | None = None
@@ -219,8 +204,9 @@ class Server:
             self._primary = db.primary
             self._indexed = db
             self._lock = threading.Lock()
-        self._step_hook = self._primary.options.step_hook \
+        step_hook = self._primary.options.step_hook \
             if self._primary is not None else getattr(db, "_step_hook", None)
+        self._park_until = getattr(step_hook, "park_until", None)
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -252,13 +238,12 @@ class Server:
         graceful path — the drain state machine (DESIGN.md §13):
 
         1. stop accepting (close the listener);
-        2. half-close every connection for reading (``SHUT_RD``): each
-           reader consumes the bytes already in flight, then sees a clean
-           EOF and enqueues the end-of-stream marker *behind* every fully
-           received request;
-        3. each worker finishes its queued requests — commits them
-           through the engine's group commit and writes every response —
-           before it observes the marker and exits.
+        2. half-close every connection for reading (``SHUT_RD``): the
+           bytes already received stay readable, then the stream ends
+           with a clean EOF;
+        3. each connection thread executes every complete frame it
+           received — commits it through the engine's group commit and
+           writes the response — before it sees that EOF and exits.
 
         A torn frame at the cut is discarded whole (never half-applied),
         and every request whose last byte arrived gets executed *and*
@@ -285,18 +270,17 @@ class Server:
                 pass
         with self._conn_lock:
             connections = list(self._connections)
+        threads = [thread for thread in [self._accept_thread]
+                   + [conn.thread for conn in connections]
+                   if thread is not None]
         if drain:
             for conn in connections:
                 try:
                     conn.sock.shutdown(socket.SHUT_RD)
                 except OSError:
                     pass
-            if self._accept_thread is not None:
-                self._accept_thread.join(timeout=timeout)
-            for conn in connections:
-                for thread in (conn.reader, conn.worker):
-                    if thread is not None:
-                        thread.join(timeout=timeout)
+            for thread in threads:
+                thread.join(timeout=timeout)
         # Hard phase: whatever is still up (everything, when drain=False;
         # only stragglers past the drain timeout otherwise) gets dropped.
         for conn in connections:
@@ -309,20 +293,9 @@ class Server:
                 conn.sock.close()
             except OSError:
                 pass
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=timeout)
-        for conn in connections:
-            for thread in (conn.reader, conn.worker):
-                if thread is not None:
-                    thread.join(timeout=timeout)
-        leaked = 0
-        if self._accept_thread is not None \
-                and self._accept_thread.is_alive():
-            leaked += 1
-        for conn in connections:
-            for thread in (conn.reader, conn.worker):
-                if thread is not None and thread.is_alive():
-                    leaked += 1
+        for thread in threads:
+            thread.join(timeout=timeout)
+        leaked = sum(1 for thread in threads if thread.is_alive())
         if leaked:
             self.stats.leaked_threads += leaked
             logger.warning("server close leaked %d threads "
@@ -340,7 +313,7 @@ class Server:
         with self._conn_lock:
             return len(self._connections)
 
-    # -- accept / reader / worker ---------------------------------------------
+    # -- accept / connection loop ---------------------------------------------
 
     def _accept_loop(self) -> None:
         assert self._listener is not None
@@ -353,140 +326,46 @@ class Server:
                 sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             except OSError:
                 pass
-            conn = _Connection(sock, self.max_inflight)
+            conn = _Connection(sock)
+            conn.thread = threading.Thread(
+                target=self._serve, args=(conn,),
+                name=f"server:conn:{conn.peer}", daemon=True)
             with self._conn_lock:
+                # Registered and started under the lock close() snapshots
+                # under: a connection is either refused or joined.
                 if self._closing.is_set():
                     sock.close()
                     return
                 self._connections.add(conn)
                 self.stats.connections_accepted += 1
-            conn.reader = threading.Thread(
-                target=self._reader_main, args=(conn,),
-                name=f"server:read:{conn.peer}", daemon=True)
-            conn.worker = threading.Thread(
-                target=self._worker_main, args=(conn,),
-                name=f"server:work:{conn.peer}", daemon=True)
-            conn.worker.start()
-            conn.reader.start()
+                conn.thread.start()
 
-    def _enqueue(self, conn: _Connection, item: Any) -> None:
-        """Bounded put: block (backpressure) until the worker makes room.
-
-        The timeout loop keeps a dead worker (or a server close) from
-        wedging the reader thread forever.
-        """
-        try:
-            conn.queue.put_nowait(item)
-            return
-        except queue.Full:
-            self.stats.backpressure_waits += 1
-        while not conn.closing.is_set():
-            try:
-                conn.queue.put(item, timeout=0.1)
-                return
-            except queue.Full:
-                if conn.worker is not None and not conn.worker.is_alive():
-                    return
-
-    def _reader_main(self, conn: _Connection) -> None:
-        """Frames off the socket, into the bounded queue; nothing else.
-
-        Request *decoding* happens on the worker so a slow/corrupt payload
-        cannot stall frame reassembly accounting, and so torn frames are
-        discarded before anything could act on them.
-        """
+    def _serve(self, conn: _Connection) -> None:
+        """The connection's one loop: complete frames in, answers out."""
         try:
             while not conn.closing.is_set():
-                payload = read_frame(conn.sock, self.max_frame_bytes)
+                payload = self._next_frame(conn)
                 if payload is None:
-                    break  # clean EOF between frames
-                self._enqueue(conn, payload)
-        except FrameTooLargeError as exc:
-            self.stats.frames_rejected += 1
-            # The oversized payload was never read, so the stream cannot
-            # be re-synchronized: report and drop the connection.
-            self._enqueue(conn, (_REJECT, str(exc)))
-            return  # worker closes the socket after responding
-        except TornFrameError:
-            self.stats.torn_frames += 1
-        except OSError:
-            pass  # connection reset / server close
-        finally:
-            self._enqueue(conn, _EOF)
-
-    def _next_item(self, conn: _Connection) -> Any:
-        """Worker-side blocking dequeue, cooperative under a step hook.
-
-        With the deterministic scheduler installed, a plain blocking get
-        would hold the run token while waiting and freeze every scheduled
-        thread; instead the wait is a guarded park, same pattern as
-        ``DB._await_locked``.
-        """
-        hook = self._step_hook
-        if hook is None:
-            return conn.queue.get()
-        park_until = getattr(hook, "park_until", None)
-        while True:
-            try:
-                return conn.queue.get_nowait()
-            except queue.Empty:
-                pass
-            if conn.closing.is_set():
-                return _EOF
-            if park_until is not None:
-                park_until("server:recv",
-                           lambda: not conn.queue.empty()
-                           or conn.closing.is_set())
-            else:
-                hook("server:recv")
-
-    def _worker_main(self, conn: _Connection) -> None:
-        pushback: list[Any] = []  # at most one item read ahead
-
-        def next_item() -> Any:
-            if pushback:
-                return pushback.pop()
-            return self._next_item(conn)
-
-        try:
-            while True:
-                item = next_item()
-                if item is _EOF:
-                    return
-                if isinstance(item, tuple) and item[0] == _REJECT:
-                    self._respond(conn, 0, STATUS_ERROR,
-                                  ["FrameTooLargeError", item[1]])
-                    return
-                request = self._decode_request(conn, item)
+                    return  # end of stream
+                request = self._decode_request(conn, payload)
                 if request is None:
                     continue  # error already answered; stream still synced
-                request_id, op, args = request
-                if op in ("put", "delete") and self._can_coalesce():
-                    batch_members = [(request_id, op, args)]
-                    while len(batch_members) < MAX_COALESCED_OPS \
-                            and not conn.queue.empty():
-                        try:
-                            follow = conn.queue.get_nowait()
-                        except queue.Empty:
+                if request[1] in ("put", "delete") and self._can_coalesce():
+                    members = [request]
+                    while len(members) < MAX_COALESCED_OPS:
+                        follow = self._buffered_write(conn)
+                        if follow is None:
                             break
-                        if isinstance(follow, bytes):
-                            decoded = self._decode_request(conn, follow)
-                            if decoded is None:
-                                continue
-                            if decoded[1] in ("put", "delete"):
-                                batch_members.append(decoded)
-                                continue
-                            pushback.append(follow)
-                        else:
-                            pushback.append(follow)
-                        break
-                    self._execute_write_run(conn, batch_members)
+                        members.append(follow)
+                    self._execute_write_run(conn, members)
                 else:
-                    self._execute(conn, request_id, op, args)
-        except BrokenPipeError:
-            pass  # peer vanished while a response was in flight
-        except OSError:
-            pass
+                    self._execute(conn, *request)
+        except FrameTooLargeError as exc:
+            self.stats.frames_rejected += 1
+            # The oversized payload is never read, so the stream cannot
+            # be re-synchronized: report and drop the connection.
+            self._respond(conn, 0, STATUS_ERROR,
+                          ["FrameTooLargeError", str(exc)])
         finally:
             try:
                 conn.sock.close()
@@ -495,7 +374,75 @@ class Server:
             with self._conn_lock:
                 self._connections.discard(conn)
 
+    def _next_frame(self, conn: _Connection) -> bytes | None:
+        """The next complete frame's payload; ``None`` once the stream ended.
+
+        Reads the socket only when no complete frame is buffered, and
+        never more than fits one maximum-size frame (the incomplete frame
+        in the buffer is always smaller than that).  A stream that ends —
+        by FIN, by RST or by a server close — with part of a frame
+        buffered counts as one torn frame, discarded whole.
+        """
+        while True:
+            frame = take_frame(conn.buffer, conn.start, self.max_frame_bytes)
+            if frame is not None:
+                payload, conn.start = frame
+                return payload
+            pending = conn.buffer[conn.start:]
+            if self._park_until is not None:
+                # Under the deterministic scheduler a blocking recv would
+                # hold the run token and freeze every scheduled thread:
+                # park until the socket is readable or the connection is
+                # closing (same pattern as DB._await_locked).
+                self._park_until(
+                    "server:recv",
+                    lambda: conn.closing.is_set()
+                    or bool(select.select([conn.sock], [], [], 0)[0]))
+            try:
+                chunk = conn.sock.recv(min(
+                    RECV_BYTES,
+                    FRAME_HEADER_BYTES + self.max_frame_bytes - len(pending)))
+            except OSError:
+                chunk = b""  # reset by the peer, or closed by close()
+            if not chunk:
+                if pending:
+                    self.stats.torn_frames += 1
+                return None
+            conn.buffer, conn.start = pending + chunk, 0
+
+    def _buffered_write(self, conn: _Connection
+                        ) -> tuple[int, str, list] | None:
+        """Take the next frame iff it is already buffered and a PUT/DELETE.
+
+        Anything else — an incomplete, oversized or malformed frame, or a
+        different op — stays in the buffer for the main loop, which
+        handles it in order once the write run is answered.
+        """
+        try:
+            frame = take_frame(conn.buffer, conn.start, self.max_frame_bytes)
+            if frame is None:
+                return None
+            request = self._parse_request(frame[0])
+        except Exception:  # noqa: BLE001 - left for the main loop
+            return None
+        if request[1] not in ("put", "delete"):
+            return None
+        conn.start = frame[1]
+        self.stats.requests += 1
+        return request
+
     # -- request handling -------------------------------------------------------
+
+    @staticmethod
+    def _parse_request(payload: bytes) -> tuple[int, str, list]:
+        request = decode_value(payload)
+        if not isinstance(request, list) or len(request) < 2:
+            raise InvalidArgumentError("request must be [id, op, *args]")
+        request_id, op = request[0], request[1]
+        if not isinstance(request_id, int) or not isinstance(op, str):
+            raise InvalidArgumentError(
+                "request id must be int, op must be str")
+        return request_id, op, request[2:]
 
     def _decode_request(self, conn: _Connection, payload: bytes
                         ) -> tuple[int, str, list] | None:
@@ -506,15 +453,7 @@ class Server:
         """
         self.stats.requests += 1
         try:
-            request = decode_value(payload)
-            if not isinstance(request, list) or len(request) < 2:
-                raise InvalidArgumentError(
-                    "request must be [id, op, *args]")
-            request_id, op = request[0], request[1]
-            if not isinstance(request_id, int) or not isinstance(op, str):
-                raise InvalidArgumentError(
-                    "request id must be int, op must be str")
-            return request_id, op, request[2:]
+            return self._parse_request(payload)
         except Exception as exc:  # noqa: BLE001 - reported to the peer
             self._respond(conn, 0, STATUS_ERROR,
                           [type(exc).__name__, str(exc)])
@@ -525,8 +464,15 @@ class Server:
         self.stats.responses += 1
         if status == STATUS_ERROR:
             self.stats.errors += 1
-        conn.sock.sendall(encode_frame(encode_value(
-            [request_id, status, payload])))
+        if conn.peer_gone:
+            return
+        try:
+            conn.sock.sendall(encode_frame(encode_value(
+                [request_id, status, payload])))
+        except OSError:
+            # The peer vanished: keep executing what it already sent (the
+            # drain contract), but stop answering.
+            conn.peer_gone = True
 
     def _execute(self, conn: _Connection, request_id: int, op: str,
                  args: list) -> None:

@@ -296,7 +296,7 @@ def _parse_index_map(indexes: str, out: IO[str]):
 
 def cmd_serve(directory: str, name: str, out: IO[str], host: str,
               port: int, indexes: str | None, sync: bool,
-              max_inflight: int, compaction_processes: int = 0,
+              compaction_processes: int = 0,
               shm_cache_bytes: int = 0, shards: int = 0,
               replication: int = 1) -> int:
     """Serve one database over the framed socket protocol (ROADMAP item 1).
@@ -361,7 +361,7 @@ def cmd_serve(directory: str, name: str, out: IO[str], host: str,
                            compaction_processes=compaction_processes,
                            shm_cache_bytes=shm_cache_bytes))
         closer = db.close
-    server = Server(db, host=host, port=port, max_inflight=max_inflight)
+    server = Server(db, host=host, port=port)
     stop = _threading.Event()
     previous_handler = None
     try:
@@ -434,9 +434,6 @@ def main(argv: list[str] | None = None, out: IO[str] | None = None) -> int:
     serve.add_argument("--no-sync", dest="sync", action="store_false",
                        help="acknowledge writes before fsync (faster, "
                             "riskier)")
-    serve.add_argument("--max-inflight", type=int, default=32,
-                       help="pipelined requests per connection before "
-                            "backpressure (default 32)")
     serve.add_argument("--compaction-processes", type=int, default=0,
                        help="run compactions in N worker processes instead "
                             "of the serving interpreter (default 0 = "
@@ -465,7 +462,6 @@ def main(argv: list[str] | None = None, out: IO[str] | None = None) -> int:
     if args.command == "serve":
         return cmd_serve(args.directory, args.name, out, args.host,
                          args.port, args.indexes, args.sync,
-                         args.max_inflight, args.compaction_processes,
-                         args.shm_cache_bytes, args.shards,
-                         args.replication)
+                         args.compaction_processes, args.shm_cache_bytes,
+                         args.shards, args.replication)
     return cmd_verify(args.directory, args.name, out)

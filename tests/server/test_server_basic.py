@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import socket
 import struct
+import threading
 import time
 
 import pytest
@@ -14,7 +15,12 @@ from repro.lsm.db import DB
 from repro.lsm.options import Options
 from repro.lsm.vfs import MemoryVFS
 from repro.server import Client, RemoteError, Server
-from repro.server.protocol import encode_frame, encode_value, read_frame
+from repro.server.protocol import (
+    decode_value,
+    encode_frame,
+    encode_value,
+    read_frame,
+)
 
 
 @pytest.fixture()
@@ -149,16 +155,64 @@ def test_pipeline_error_does_not_desync(kv_server):
         assert client.get(b"good2") == b"2"
 
 
+def _settled(read, quiet: float = 0.3, timeout: float = 10.0) -> int:
+    """Poll ``read()`` until it stops changing for ``quiet`` seconds."""
+    value = read()
+    stable_since = time.time()
+    deadline = stable_since + timeout
+    while time.time() < deadline:
+        time.sleep(0.05)
+        current = read()
+        if current != value:
+            value, stable_since = current, time.time()
+        elif time.time() - stable_since >= quiet:
+            break
+    return value
+
+
 def test_backpressure_bounds_inflight(kv_server):
+    """A client that pipelines without reading stalls the server's reads:
+    the server executes only what the socket buffers can answer, then
+    waits on TCP; reading the responses releases every request in order."""
     server, db = kv_server
-    server.max_inflight = 2  # shrink before the connection is made
-    with connect(server) as client:
-        with client.pipeline() as p:
-            for i in range(60):
-                p.put(b"bp%03d" % i, b"x")
-        assert len(p.results) == 60
-        assert db.get(b"bp059") == b"x"
-    assert server.stats.backpressure_waits > 0
+    value = b"v" * (256 * 1024)
+    db.put(b"big", value)
+    sent = 300  # 75 MiB of responses: far more than the socket buffers
+    host, port = server.address
+    sock = socket.create_connection((host, port), timeout=10)
+    try:
+        sock.sendall(b"".join(encode_frame(encode_value([i, "get", b"big"]))
+                              for i in range(sent)))
+        executed = _settled(lambda: server.stats.requests)
+        assert 0 < executed < sent // 2
+        for i in range(sent):
+            response = read_frame(sock)
+            assert response is not None
+            assert decode_value(response) == [i, 0, value]
+    finally:
+        sock.close()
+    assert server.stats.requests == sent
+
+
+def test_one_thread_per_connection(kv_server):
+    server, _db = kv_server
+    before = _settled(threading.active_count)  # earlier tests' threads gone
+    idle = 4
+    socks = [socket.create_connection(server.address, timeout=5)
+             for _ in range(idle)]
+    try:
+        deadline = time.time() + 5
+        while threading.active_count() < before + idle \
+                and time.time() < deadline:
+            time.sleep(0.01)
+        time.sleep(0.1)  # any second thread per connection would show now
+        assert server.stats.connections_accepted == idle
+        assert threading.active_count() == before + idle
+        server.close(drain=True)
+        assert server.stats.leaked_threads == 0
+    finally:
+        for sock in socks:
+            sock.close()
 
 
 # -- error handling ----------------------------------------------------------
@@ -192,6 +246,23 @@ def test_malformed_request_payload_keeps_connection(kv_server):
     finally:
         sock.close()
     assert server.stats.errors >= 1
+
+
+def test_malformed_frame_inside_write_run_answered_in_order(kv_server):
+    """A malformed frame between pipelined PUTs ends the coalesced run:
+    its error response comes after the first PUT's ack, not before."""
+    server, db = kv_server
+    sock = socket.create_connection(server.address, timeout=5)
+    try:
+        sock.sendall(encode_frame(encode_value([1, "put", b"a", b"1"]))
+                     + encode_frame(b"\x7f\x00garbage")
+                     + encode_frame(encode_value([3, "put", b"b", b"2"])))
+        responses = [decode_value(read_frame(sock)) for _ in range(3)]
+    finally:
+        sock.close()
+    assert [(rid, status) for rid, status, _ in responses] \
+        == [(1, 0), (0, 1), (3, 0)]
+    assert db.get(b"a") == b"1" and db.get(b"b") == b"2"
 
 
 def test_oversized_frame_rejected_and_connection_dropped():
@@ -242,6 +313,29 @@ def test_torn_frame_discards_only_the_torn_request(kv_server):
     assert db.get(b"whole-1") == b"a"
     assert db.get(b"whole-2") == b"b"
     assert db.get(b"torn") is None  # never half-applied
+
+
+def test_reset_mid_frame_counts_as_torn(kv_server):
+    """A peer that resets (RST, not FIN) mid-frame: the complete frames
+    still apply and the partial one counts as torn, never half-applied."""
+    server, db = kv_server
+    host, port = server.address
+    sock = socket.create_connection((host, port), timeout=5)
+    complete = (encode_frame(encode_value([1, "put", b"whole-1", b"a"]))
+                + encode_frame(encode_value([2, "put", b"whole-2", b"b"])))
+    torn = encode_frame(encode_value([3, "put", b"torn", b"c"]))
+    sock.sendall(complete + torn[:len(torn) // 2])
+    time.sleep(0.05)  # the server has read it all and answered both writes
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                    struct.pack("ii", 1, 0))
+    sock.close()  # abortive close: the server's next recv sees the reset
+    deadline = time.time() + 5
+    while server.stats.torn_frames == 0 and time.time() < deadline:
+        time.sleep(0.01)
+    assert server.stats.torn_frames == 1
+    assert db.get(b"whole-1") == b"a"
+    assert db.get(b"whole-2") == b"b"
+    assert db.get(b"torn") is None
 
 
 def test_client_disconnect_with_responses_in_flight(kv_server):
